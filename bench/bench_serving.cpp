@@ -77,16 +77,15 @@ runTrace(const std::shared_ptr<serve::InferenceBackend> &backend,
          std::size_t maxBatch, std::size_t inflight, uint64_t seed,
          bool traceRequests = false)
 {
-    // The stage histograms are registry-owned and accumulate across
-    // servers; zero them so this run's percentiles are its own.
-    serve::InferenceServer::resetStageMetrics();
-
     serve::ServeConfig sc;
     sc.queueCapacity = inflight + maxBatch; // closed loop never rejects.
     sc.batch.maxBatch = maxBatch;
     sc.batch.maxWaitMicros = 200;
     sc.traceRequests = traceRequests;
     serve::InferenceServer server(backend, sc);
+    // Every run's server shares the unlabeled series; zero them so
+    // this run's counters and percentiles are its own.
+    server.resetStageMetrics();
 
     RunResult out;
     out.classes.assign(requests, -1);

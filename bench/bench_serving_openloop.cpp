@@ -26,9 +26,9 @@
  *              overloaded model degrades to *its own* rejections and
  *              the light model's goodput tracks its offered rate;
  *  - slo:      the base model with its quantized sibling as SLO
- *              fallback; overload drives p99 across the SLO and the
- *              serve.slo.degrade_enter/exit counters record the
- *              degrade/restore flapping.
+ *              fallback; overload drives p99 across the SLO and
+ *              m0's serve.slo.degrade_enter/exit{model="m0"} series
+ *              record the degrade/restore flapping.
  *
  * Before any load runs, the harness replays a fixed trace both over
  * the wire and against an in-process InferenceServer and asserts the
@@ -484,8 +484,10 @@ main(int argc, char **argv)
         ladder.push_back(cfg.getDouble("rate", 0.0) / capacityReqS);
     std::vector<StreamResult> sweep;
     auto sweepOne = [&](double rateReqS) {
-        serve::InferenceServer::resetStageMetrics();
         net::ServeFrontend frontend(registry, sc);
+        // m0's series are shared with earlier rows' servers of the
+        // same model: zero them so an export shows this row's numbers.
+        frontend.server("m0")->resetStageMetrics();
         net::NetServer server(frontend);
         std::string error;
         if (!server.start(&error))
@@ -532,10 +534,12 @@ main(int argc, char **argv)
 
     // Knee analysis over every sweep row, ordered by offered rate.
     // The knee is where latency turns up: the first rate whose p99
-    // exceeds 5x the lightest row's. Beyond it the tail of the
-    // requests that still complete Ok diverges from their median,
-    // while goodput pins at capacity (the plateau across the rows
-    // offered more than the measured capacity).
+    // exceeds 5x the lightest row's, reported as a fraction of the
+    // measured capacity (the best goodput of any row). Beyond it the
+    // tail of the requests that still complete Ok diverges from their
+    // median, while goodput pins at capacity (the plateau across the
+    // rows offered more than the measured capacity). A lightest row
+    // without a p99 leaves nothing to compare against: no knee.
     std::vector<const StreamResult *> byRate;
     byRate.reserve(sweep.size());
     for (const StreamResult &r : sweep)
@@ -548,7 +552,7 @@ main(int argc, char **argv)
         byRate.empty() ? 0.0 : percentile(byRate.front()->latencyUs,
                                           99.0);
     std::size_t knee = byRate.size();
-    for (std::size_t i = 0; i < byRate.size(); ++i) {
+    for (std::size_t i = 0; baseP99 > 0.0 && i < byRate.size(); ++i) {
         if (percentile(byRate[i]->latencyUs, 99.0) > 5.0 * baseP99) {
             knee = i;
             break;
@@ -599,11 +603,12 @@ main(int argc, char **argv)
     // --- slo: overload with the q8 sibling as fallback ----------------
     uint64_t sloFlaps = 0;
     {
+        // m0's own series: other models' servers never flap it.
         auto &reg = telemetry::MetricRegistry::instance();
         const auto degradeEnter =
-            reg.counter("serve.slo.degrade_enter");
+            reg.counter("serve.slo.degrade_enter", "m0");
         const auto degradeExit =
-            reg.counter("serve.slo.degrade_exit");
+            reg.counter("serve.slo.degrade_exit", "m0");
         const uint64_t enter0 = degradeEnter->value();
         const uint64_t exit0 = degradeExit->value();
 
@@ -632,16 +637,28 @@ main(int argc, char **argv)
                   "(coordinated-omission guard)");
     table.print(std::cout);
 
-    const double kneeReqS =
-        knee < byRate.size() ? byRate[knee]->offeredReqS : 0.0;
     std::cout << "RESULT: burst estimate "
-              << TextTable::fmt(capacityReqS, 0) << " req/s; knee at ~"
-              << TextTable::fmt(kneeReqS, 0)
-              << " req/s offered; goodput plateau "
-              << TextTable::fmt(plateauLow, 0) << ".."
-              << TextTable::fmt(plateauHigh, 0)
-              << " req/s beyond it; beyond-knee p99/p50 up to "
-              << TextTable::fmt(beyondKneeRatio, 1)
-              << "x; slo flaps = " << sloFlaps << "\n";
+              << TextTable::fmt(capacityReqS, 0)
+              << " req/s; measured capacity "
+              << TextTable::fmt(capacityHat, 0) << " req/s; ";
+    if (knee < byRate.size()) {
+        const double kneeReqS = byRate[knee]->offeredReqS;
+        std::cout << "knee at ~" << TextTable::fmt(kneeReqS, 0)
+                  << " req/s offered ("
+                  << TextTable::fmt(kneeReqS / capacityHat, 2)
+                  << "x capacity); beyond-knee p99/p50 up to "
+                  << TextTable::fmt(beyondKneeRatio, 1) << "x; ";
+    } else {
+        std::cout << "no knee detected (no row's p99 above 5x the "
+                     "lightest row's "
+                  << TextTable::fmt(baseP99, 0) << " us); ";
+    }
+    if (plateauHigh > 0.0)
+        std::cout << "goodput plateau " << TextTable::fmt(plateauLow, 0)
+                  << ".." << TextTable::fmt(plateauHigh, 0)
+                  << " req/s offered past capacity; ";
+    else
+        std::cout << "no row offered past capacity; ";
+    std::cout << "slo flaps = " << sloFlaps << "\n";
     return 0;
 }

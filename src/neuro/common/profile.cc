@@ -7,8 +7,8 @@
 #include <vector>
 
 #include "neuro/common/config.h"
-#include "neuro/common/logging.h"
 #include "neuro/common/mutex.h"
+#include "neuro/telemetry/export.h"
 #include "neuro/telemetry/telemetry.h"
 
 namespace neuro {
@@ -73,54 +73,26 @@ registerAtExitOnce()
             // down, and stderr is the documented sink for
             // NEURO_STATS_DUMP.
             // neurolint: allow(R3)
-            Profiler::instance().dump(std::cerr);
+            telemetry::writeStats(Profiler::instance().snapshot(), std::cerr);
     });
     addObservabilityExitHook(30, [] { Tracer::instance().stop(); });
     std::atexit(observabilityAtExit);
 }
 
 /**
- * Environment-only bootstrap: NEURO_TRACE / NEURO_STATS_DUMP turn the
- * sinks on in any binary linking this library, so every bench and
- * example can record without code changes. Config-driven setup
- * (initObservability) still applies on top for the CLI.
+ * Environment bootstrap: parseEnv() maps NEURO_TRACE /
+ * NEURO_STATS_DUMP / NEURO_METRICS(_PERIOD_MS) onto the config keys
+ * initObservability() reads, so every bench and example can record
+ * without code changes. The CLI applies its own flags on top.
  */
 struct EnvObservabilityInit
 {
     EnvObservabilityInit()
     {
         // Static-init, single-threaded; nothing here races setenv.
-        // NOLINTNEXTLINE(concurrency-mt-unsafe)
-        const char *trace = std::getenv("NEURO_TRACE");
-        // NOLINTNEXTLINE(concurrency-mt-unsafe)
-        const char *dump = std::getenv("NEURO_STATS_DUMP");
-        bool any = false;
-        if (trace && *trace)
-            any = Tracer::instance().start(trace);
-        if (dump && *dump && std::string(dump) != "0") {
-            Profiler::instance().setEnabled(true);
-            any = true;
-        } else if (any) {
-            // A trace without timings is half a story; keep them in sync.
-            Profiler::instance().setEnabled(true);
-        }
-        // NOLINTNEXTLINE(concurrency-mt-unsafe)
-        const char *metrics = std::getenv("NEURO_METRICS");
-        if (metrics && *metrics) {
-            telemetry::TelemetryConfig tcfg;
-            tcfg.path = metrics;
-            // NOLINTNEXTLINE(concurrency-mt-unsafe)
-            const char *period =
-                std::getenv("NEURO_METRICS_PERIOD_MS");
-            if (period && *period) {
-                const long long ms = std::strtoll(period, nullptr, 10);
-                if (ms >= 1)
-                    tcfg.periodMillis = ms;
-            }
-            telemetry::startGlobalTelemetry(tcfg);
-        }
-        if (any)
-            registerAtExitOnce();
+        Config env;
+        env.parseEnv();
+        initObservability(env);
     }
 };
 
@@ -141,78 +113,61 @@ Profiler::setEnabled(bool on)
     active_.store(on, std::memory_order_relaxed);
 }
 
-void
-Profiler::recordScope(const char *name, double seconds)
-{
-    MutexGuard lock(mutex_);
-    stats_.sample(std::string("scope/") + name, seconds);
-}
-
-void
-Profiler::inc(const std::string &name, uint64_t delta)
-{
-    MutexGuard lock(mutex_);
-    stats_.inc(name, delta);
-}
-
-uint64_t
-Profiler::incAndGet(const std::string &name, uint64_t delta)
-{
-    MutexGuard lock(mutex_);
-    stats_.inc(name, delta);
-    return stats_.counter(name);
-}
-
-void
-Profiler::sample(const std::string &name, double v)
-{
-    MutexGuard lock(mutex_);
-    stats_.sample(name, v);
-}
-
-StatRegistry
+telemetry::MetricsSnapshot
 Profiler::snapshot() const
 {
-    MutexGuard lock(mutex_);
-    return stats_;
-}
-
-void
-Profiler::dump(std::ostream &os) const
-{
-    MutexGuard lock(mutex_);
-    stats_.dump(os);
+    return telemetry::MetricRegistry::instance().snapshot();
 }
 
 void
 Profiler::reset()
 {
-    MutexGuard lock(mutex_);
-    stats_.reset();
+    telemetry::MetricRegistry::instance().resetValues();
+}
+
+telemetry::LatencyHistogram &
+ScopeSite::histogram()
+{
+    // Racing first uses resolve the same series; acquire/release
+    // publishes the histogram built under the registry lock.
+    telemetry::LatencyHistogram *h =
+        histogram_.load(std::memory_order_acquire);
+    if (h == nullptr) {
+        h = telemetry::MetricRegistry::instance()
+                .histogram(std::string("scope/") + name_)
+                .get();
+        histogram_.store(h, std::memory_order_release);
+    }
+    return *h;
 }
 
 void
 obsCount(const char *name, uint64_t delta)
 {
-    const bool profile = Profiler::enabled();
-    const bool trace = Tracer::enabled();
-    if (!profile && !trace)
+    if (!obsEnabled())
         return;
-    const uint64_t total = Profiler::instance().incAndGet(name, delta);
-    if (trace)
-        Tracer::instance().counter(name, static_cast<double>(total));
+    const auto counter = telemetry::MetricRegistry::instance().counter(name);
+    counter->inc(delta);
+    if (Tracer::enabled())
+        Tracer::instance().counter(name,
+                                   static_cast<double>(counter->value()));
 }
 
 void
 obsSample(const char *name, double v)
 {
-    const bool profile = Profiler::enabled();
-    const bool trace = Tracer::enabled();
-    if (!profile && !trace)
-        return;
-    if (profile)
-        Profiler::instance().sample(name, v);
-    if (trace)
+    if (Profiler::enabled())
+        telemetry::MetricRegistry::instance().histogram(name)->record(v);
+    if (Tracer::enabled())
+        Tracer::instance().counter(name, v);
+}
+
+void
+obsGauge(const char *name, double v)
+{
+    if (Profiler::enabled())
+        telemetry::MetricRegistry::instance().gauge(name)->set(v);
+    if (Tracer::enabled())
         Tracer::instance().counter(name, v);
 }
 

@@ -8,8 +8,10 @@
  * dispatcher and micro-batcher, so one model's overload degrades to
  * *its* rejections instead of starving every other model behind a
  * shared queue — the admission-fairness property
- * bench_serving_openloop measures. The routing table is built once at
- * construction and immutable afterwards, so route() takes no lock.
+ * bench_serving_openloop measures. Each server's registry series
+ * carry its model name as the `model` label. The routing table is
+ * built once at construction and immutable afterwards, so route()
+ * takes no lock.
  *
  * Responses come back through the serve layer's callback completion
  * path (InferenceServer::submit with a CompletionFn): the front end
@@ -45,7 +47,8 @@ class ServeFrontend
     using ResponseFn = std::function<void(ResponseFrame &&)>;
 
     /**
-     * Build one InferenceServer per registry model.
+     * Build one InferenceServer per registry model, labeled with the
+     * model's name.
      *
      * @param registry source of backends; only read during
      *        construction.

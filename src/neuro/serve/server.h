@@ -16,12 +16,13 @@
  * trace at any worker count) holds whenever the backend choice is
  * load-independent, i.e. fallback disabled.
  *
- * Telemetry: the server feeds the metric registry
- * (telemetry/metrics.h) with per-stage latency histograms
- * (`serve.stage.queue|batch|compute`, plus `serve.latency` end to
- * end), live gauges (`serve.queue_depth`, `serve.inflight`,
- * `serve.batch_occupancy`, `serve.degraded`) and monotonic counters
- * mirroring ServeCounters — export them with NEURO_METRICS (see
+ * Telemetry: the registry (telemetry/metrics.h) is the server's only
+ * metric store. Every series carries the server's `model` label:
+ * per-stage latency histograms (`serve.stage.queue|batch|compute`,
+ * plus `serve.latency` end to end), live gauges (`serve.queue_depth`,
+ * `serve.inflight`, `serve.batch_occupancy`, `serve.degraded`) and
+ * the monotonic counters ServeCounters reads back — each event lands
+ * in exactly one of them. Export with NEURO_METRICS (see
  * docs/observability.md). With traceRequests set, every request also
  * emits async queue/batch/compute spans into the Chrome trace sink.
  */
@@ -33,6 +34,7 @@
 #include <functional>
 #include <future>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -77,7 +79,8 @@ enum class Stage
     Compute, ///< backend compute -> completion.
 };
 
-/** Point-in-time serving counters (all monotonic since start). */
+/** Point-in-time serving counters (monotonic since the server's
+ *  series were created or last reset). */
 struct ServeCounters
 {
     uint64_t enqueued = 0;  ///< admitted into the queue.
@@ -97,11 +100,15 @@ class InferenceServer
      * @param config   tuning knobs; see ServeConfig.
      * @param fallback optional cheaper backend for SLO degradation
      *                 (must agree with primary on inputSize).
+     * @param model    `model` label of the server's registry series
+     *                 (empty = unlabeled). Servers given the same name
+     *                 share their series, so name each live server.
      */
     explicit InferenceServer(std::shared_ptr<InferenceBackend> primary,
                              ServeConfig config = {},
                              std::shared_ptr<InferenceBackend> fallback =
-                                 nullptr);
+                                 nullptr,
+                             const std::string &model = "");
 
     /** Stops and drains (see stop()). */
     ~InferenceServer();
@@ -137,27 +144,23 @@ class InferenceServer
      */
     void stop();
 
-    /** @return a snapshot of the serving counters. */
+    /** @return this server's serving counters (its labeled series). */
     ServeCounters counters() const;
 
-    /** @return the cumulative (since start) latency histogram. */
-    const LatencyHistogram &latency() const { return latency_; }
+    /** @return this server's end-to-end latency histogram
+     *  (`serve.latency{model}`). */
+    const LatencyHistogram &latency() const { return *tm_.latency; }
 
-    /**
-     * @return the process-wide per-stage latency histogram
-     * (`serve.stage.queue|batch|compute` in the metric registry).
-     * Registry-owned, so it accumulates across every InferenceServer
-     * in the process — call resetStageMetrics() between measurement
-     * runs for per-run numbers.
-     */
+    /** @return this server's per-stage latency histogram
+     *  (`serve.stage.queue|batch|compute{model}`). */
     const LatencyHistogram &stageLatency(Stage stage) const;
 
     /**
-     * Zero the registry-owned `serve.*` metrics (stage histograms,
-     * the global latency histogram, counters and gauges). Per-server
-     * state — counters() and latency() — is untouched.
+     * Zero every `serve.*` series of this server's model — stage and
+     * latency histograms, counters, gauges — between measurement runs.
+     * Other models' series are untouched.
      */
-    static void resetStageMetrics();
+    void resetStageMetrics();
 
     /** @return true while SLO degradation has engaged the fallback. */
     bool degraded() const
@@ -203,13 +206,13 @@ class InferenceServer
     SessionPool primarySessions_;
     std::unique_ptr<SessionPool> fallbackSessions_;
 
-    LatencyHistogram latency_;       ///< cumulative, for summaries.
-    LatencyHistogram windowLatency_; ///< reset each SLO window.
+    /** SLO control state, not a metric: reset each window. */
+    LatencyHistogram windowLatency_;
     std::atomic<bool> degraded_{false};
     uint64_t windowCompleted_ = 0;   ///< dispatcher-only.
 
-    /** Registry-owned telemetry handles (resolved once at
-     *  construction; shared across servers, see stageLatency()). */
+    /** Registry-owned series labeled with model_ (resolved once at
+     *  construction, so the hot path never looks a name up). */
     struct Telemetry
     {
         std::shared_ptr<LatencyHistogram> stageQueue;
@@ -230,14 +233,6 @@ class InferenceServer
         std::shared_ptr<telemetry::Gauge> degradedGauge;
     };
     Telemetry tm_;
-    std::atomic<int64_t> inflight_{0}; ///< admitted, not yet fulfilled.
-
-    std::atomic<uint64_t> enqueued_{0};
-    std::atomic<uint64_t> completed_{0};
-    std::atomic<uint64_t> rejected_{0};
-    std::atomic<uint64_t> expired_{0};
-    std::atomic<uint64_t> batches_{0};
-    std::atomic<uint64_t> fallbacks_{0};
 
     std::atomic<bool> stopped_{false};
     /** Serializes stop() against itself; stop() closes the queue while

@@ -5,6 +5,62 @@
 namespace neuro {
 namespace telemetry {
 
+namespace {
+
+/** @return the (name, model) entry of a sorted snapshot vector. */
+template <typename V>
+const V *
+findSeries(const std::vector<V> &values, const std::string &name,
+           const std::string &model)
+{
+    for (const V &v : values) {
+        if (v.name == name && v.model == model)
+            return &v;
+    }
+    return nullptr;
+}
+
+/** @return true if @p map holds any series of @p name. */
+template <typename Map>
+bool
+hasName(const Map &map, const std::string &name)
+{
+    const auto it = map.lower_bound({name, std::string()});
+    return it != map.end() && it->first.first == name;
+}
+
+} // namespace
+
+uint64_t
+MetricsSnapshot::counter(const std::string &name,
+                         const std::string &model) const
+{
+    const CounterValue *c = findSeries(counters, name, model);
+    return c ? c->value : 0;
+}
+
+double
+MetricsSnapshot::gauge(const std::string &name,
+                       const std::string &model) const
+{
+    const GaugeValue *g = findSeries(gauges, name, model);
+    return g ? g->value : 0.0;
+}
+
+LatencyHistogram::Summary
+MetricsSnapshot::histogram(const std::string &name,
+                           const std::string &model) const
+{
+    const HistogramValue *h = findSeries(histograms, name, model);
+    return h ? h->summary : LatencyHistogram::Summary{};
+}
+
+std::string
+seriesKey(const std::string &name, const std::string &model)
+{
+    return model.empty() ? name : name + "{model=" + model + "}";
+}
+
 MetricRegistry &
 MetricRegistry::instance()
 {
@@ -20,52 +76,52 @@ MetricRegistry::assertKindFree(const std::string &name,
                                const char *kind) const
 {
     // mutex_ is held by the caller (enforced by NEURO_REQUIRES).
-    const bool taken = (counters_.count(name) != 0 ||
-                        gauges_.count(name) != 0 ||
-                        histograms_.count(name) != 0);
-    NEURO_ASSERT(!taken,
+    const int kinds = static_cast<int>(hasName(counters_, name)) +
+                      static_cast<int>(hasName(gauges_, name)) +
+                      static_cast<int>(hasName(histograms_, name));
+    NEURO_ASSERT(kinds == 0,
                  "metric '%s' already registered as a different kind "
                  "(requested %s)",
                  name.c_str(), kind);
 }
 
+template <typename T>
+std::shared_ptr<T>
+MetricRegistry::findOrCreate(SeriesMap<T> &map, const char *kind,
+                             const std::string &name,
+                             const std::string &model)
+{
+    Key key{name, model};
+    auto it = map.find(key);
+    if (it != map.end())
+        return it->second;
+    if (!hasName(map, name))
+        assertKindFree(name, kind);
+    auto metric = std::make_shared<T>();
+    map.emplace(std::move(key), metric);
+    return metric;
+}
+
 std::shared_ptr<Counter>
-MetricRegistry::counter(const std::string &name)
+MetricRegistry::counter(const std::string &name, const std::string &model)
 {
     MutexGuard lock(mutex_);
-    auto it = counters_.find(name);
-    if (it != counters_.end())
-        return it->second;
-    assertKindFree(name, "counter");
-    auto metric = std::make_shared<Counter>();
-    counters_.emplace(name, metric);
-    return metric;
+    return findOrCreate(counters_, "counter", name, model);
 }
 
 std::shared_ptr<Gauge>
-MetricRegistry::gauge(const std::string &name)
+MetricRegistry::gauge(const std::string &name, const std::string &model)
 {
     MutexGuard lock(mutex_);
-    auto it = gauges_.find(name);
-    if (it != gauges_.end())
-        return it->second;
-    assertKindFree(name, "gauge");
-    auto metric = std::make_shared<Gauge>();
-    gauges_.emplace(name, metric);
-    return metric;
+    return findOrCreate(gauges_, "gauge", name, model);
 }
 
 std::shared_ptr<LatencyHistogram>
-MetricRegistry::histogram(const std::string &name)
+MetricRegistry::histogram(const std::string &name,
+                          const std::string &model)
 {
     MutexGuard lock(mutex_);
-    auto it = histograms_.find(name);
-    if (it != histograms_.end())
-        return it->second;
-    assertKindFree(name, "histogram");
-    auto metric = std::make_shared<LatencyHistogram>();
-    histograms_.emplace(name, metric);
-    return metric;
+    return findOrCreate(histograms_, "histogram", name, model);
 }
 
 MetricsSnapshot
@@ -74,14 +130,15 @@ MetricRegistry::snapshot() const
     MetricsSnapshot snap;
     MutexGuard lock(mutex_);
     snap.counters.reserve(counters_.size());
-    for (const auto &[name, metric] : counters_)
-        snap.counters.push_back({name, metric->value()});
+    for (const auto &[key, metric] : counters_)
+        snap.counters.push_back({key.first, key.second, metric->value()});
     snap.gauges.reserve(gauges_.size());
-    for (const auto &[name, metric] : gauges_)
-        snap.gauges.push_back({name, metric->value()});
+    for (const auto &[key, metric] : gauges_)
+        snap.gauges.push_back({key.first, key.second, metric->value()});
     snap.histograms.reserve(histograms_.size());
-    for (const auto &[name, metric] : histograms_)
-        snap.histograms.push_back({name, metric->summary()});
+    for (const auto &[key, metric] : histograms_)
+        snap.histograms.push_back(
+            {key.first, key.second, metric->summary()});
     return snap;
 }
 
@@ -89,11 +146,11 @@ void
 MetricRegistry::resetValues()
 {
     MutexGuard lock(mutex_);
-    for (auto &[name, metric] : counters_)
+    for (auto &[key, metric] : counters_)
         metric->reset();
-    for (auto &[name, metric] : gauges_)
+    for (auto &[key, metric] : gauges_)
         metric->reset();
-    for (auto &[name, metric] : histograms_)
+    for (auto &[key, metric] : histograms_)
         metric->reset();
 }
 

@@ -521,6 +521,14 @@ struct FixtureCase
     int minFindings;
 };
 
+// Without a printer GoogleTest shows the raw bytes of the two pointers,
+// so the listed test names would change with every load address.
+void
+PrintTo(const FixtureCase &fc, std::ostream *os)
+{
+    *os << fc.file;
+}
+
 class FixtureTest : public testing::TestWithParam<FixtureCase>
 {};
 

@@ -1,6 +1,7 @@
-// Tests for the scoped profiler and the Distribution edge cases the
-// profiler's per-scope aggregation depends on (empty, single-sample,
-// negative-only, reset-and-reuse).
+// Tests for the scoped profiler: scopes and obs*() calls record into
+// the metric registry (`scope/<name>` histograms in µs, counters,
+// histograms, gauges) only while profiling is on, losslessly across
+// threads, and the stats exporter lists what they recorded.
 
 #include <gtest/gtest.h>
 
@@ -9,6 +10,7 @@
 #include <vector>
 
 #include "neuro/common/profile.h"
+#include "neuro/telemetry/export.h"
 
 namespace neuro {
 namespace {
@@ -32,55 +34,13 @@ class ProfileTest : public ::testing::Test
     }
 };
 
-TEST(DistributionEdge, SingleSampleMinEqualsMax)
+/** @return the stats dump of the registry's current state. */
+std::string
+statsDump()
 {
-    Distribution d;
-    d.sample(3.5);
-    EXPECT_EQ(d.count(), 1u);
-    EXPECT_DOUBLE_EQ(d.min(), 3.5);
-    EXPECT_DOUBLE_EQ(d.max(), 3.5);
-    EXPECT_DOUBLE_EQ(d.mean(), 3.5);
-    EXPECT_DOUBLE_EQ(d.stddev(), 0.0);
-}
-
-TEST(DistributionEdge, NegativeOnlySamplesKeepSign)
-{
-    // min()/max() must initialize from the first sample, not from 0:
-    // a negative-only stream has a negative max.
-    Distribution d;
-    for (double v : {-5.0, -2.0, -9.0})
-        d.sample(v);
-    EXPECT_DOUBLE_EQ(d.min(), -9.0);
-    EXPECT_DOUBLE_EQ(d.max(), -2.0);
-    EXPECT_DOUBLE_EQ(d.sum(), -16.0);
-}
-
-TEST(DistributionEdge, EmptyAfterResetBehavesLikeNew)
-{
-    Distribution d;
-    d.sample(-4.0);
-    d.sample(7.0);
-    d.reset();
-    EXPECT_EQ(d.count(), 0u);
-    EXPECT_DOUBLE_EQ(d.min(), 0.0);
-    EXPECT_DOUBLE_EQ(d.max(), 0.0);
-    EXPECT_DOUBLE_EQ(d.sum(), 0.0);
-    EXPECT_DOUBLE_EQ(d.stddev(), 0.0);
-    // Reuse after reset must re-seed min/max from the first sample.
-    d.sample(-1.0);
-    EXPECT_EQ(d.count(), 1u);
-    EXPECT_DOUBLE_EQ(d.min(), -1.0);
-    EXPECT_DOUBLE_EQ(d.max(), -1.0);
-}
-
-TEST(DistributionEdge, MixedSignStream)
-{
-    Distribution d;
-    for (double v : {-1.0, 0.0, 1.0})
-        d.sample(v);
-    EXPECT_DOUBLE_EQ(d.min(), -1.0);
-    EXPECT_DOUBLE_EQ(d.max(), 1.0);
-    EXPECT_DOUBLE_EQ(d.mean(), 0.0);
+    std::ostringstream os;
+    telemetry::writeStats(Profiler::instance().snapshot(), os);
+    return os.str();
 }
 
 TEST_F(ProfileTest, DisabledScopeRecordsNothing)
@@ -88,11 +48,9 @@ TEST_F(ProfileTest, DisabledScopeRecordsNothing)
     {
         NEURO_PROFILE_SCOPE("test/disabled");
     }
-    const StatRegistry snap = Profiler::instance().snapshot();
-    EXPECT_EQ(snap.distribution("scope/test/disabled").count(), 0u);
-    std::ostringstream os;
-    snap.dump(os);
-    EXPECT_EQ(os.str().find("test/disabled"), std::string::npos);
+    const telemetry::MetricsSnapshot snap = Profiler::instance().snapshot();
+    EXPECT_EQ(snap.histogram("scope/test/disabled").count, 0u);
+    EXPECT_EQ(statsDump().find("test/disabled"), std::string::npos);
 }
 
 TEST_F(ProfileTest, EnabledScopeAggregatesCountTotalMinMax)
@@ -101,12 +59,12 @@ TEST_F(ProfileTest, EnabledScopeAggregatesCountTotalMinMax)
     for (int i = 0; i < 3; ++i) {
         NEURO_PROFILE_SCOPE("test/scope");
     }
-    const StatRegistry snap = Profiler::instance().snapshot();
-    const Distribution &d = snap.distribution("scope/test/scope");
-    EXPECT_EQ(d.count(), 3u);
-    EXPECT_GE(d.min(), 0.0);
-    EXPECT_GE(d.max(), d.min());
-    EXPECT_GE(d.sum(), d.max());
+    const telemetry::LatencyHistogram::Summary h =
+        Profiler::instance().snapshot().histogram("scope/test/scope");
+    EXPECT_EQ(h.count, 3u);
+    EXPECT_GE(h.p50Us, 0.0);
+    EXPECT_GE(h.maxUs, h.p50Us);
+    EXPECT_GE(h.sumUs, h.maxUs);
 }
 
 TEST_F(ProfileTest, NestedScopesRecordBothLevels)
@@ -116,30 +74,37 @@ TEST_F(ProfileTest, NestedScopesRecordBothLevels)
         NEURO_PROFILE_SCOPE("test/outer");
         NEURO_PROFILE_SCOPE("test/outer/inner");
     }
-    const StatRegistry snap = Profiler::instance().snapshot();
-    EXPECT_EQ(snap.distribution("scope/test/outer").count(), 1u);
-    EXPECT_EQ(snap.distribution("scope/test/outer/inner").count(), 1u);
+    const telemetry::MetricsSnapshot snap = Profiler::instance().snapshot();
+    EXPECT_EQ(snap.histogram("scope/test/outer").count, 1u);
+    EXPECT_EQ(snap.histogram("scope/test/outer/inner").count, 1u);
     // The outer scope brackets the inner one.
-    EXPECT_GE(snap.distribution("scope/test/outer").sum(),
-              snap.distribution("scope/test/outer/inner").sum());
+    EXPECT_GE(snap.histogram("scope/test/outer").sumUs,
+              snap.histogram("scope/test/outer/inner").sumUs);
 }
 
 TEST_F(ProfileTest, ObsCountersAndSamplesGateOnEnabled)
 {
     obsCount("test.counter", 5);
     obsSample("test.sample", 1.0);
-    EXPECT_EQ(Profiler::instance().snapshot().counter("test.counter"),
-              0u);
+    obsGauge("test.gauge", 0.25);
+    telemetry::MetricsSnapshot snap = Profiler::instance().snapshot();
+    EXPECT_EQ(snap.counter("test.counter"), 0u);
+    EXPECT_EQ(snap.histogram("test.sample").count, 0u);
+    EXPECT_DOUBLE_EQ(snap.gauge("test.gauge"), 0.0);
 
     Profiler::instance().setEnabled(true);
     EXPECT_TRUE(obsEnabled());
     obsCount("test.counter", 5);
     obsCount("test.counter");
-    obsSample("test.sample", 2.5);
-    const StatRegistry snap = Profiler::instance().snapshot();
+    obsSample("test.sample", 3.0);
+    obsGauge("test.gauge", 0.25);
+    snap = Profiler::instance().snapshot();
     EXPECT_EQ(snap.counter("test.counter"), 6u);
-    EXPECT_EQ(snap.distribution("test.sample").count(), 1u);
-    EXPECT_DOUBLE_EQ(snap.distribution("test.sample").max(), 2.5);
+    EXPECT_EQ(snap.histogram("test.sample").count, 1u);
+    // Whole values below 8 land in exact one-unit buckets.
+    EXPECT_DOUBLE_EQ(snap.histogram("test.sample").maxUs, 4.0);
+    // Fractional values go to gauges, which keep them exactly.
+    EXPECT_DOUBLE_EQ(snap.gauge("test.gauge"), 0.25);
 }
 
 TEST_F(ProfileTest, DumpListsScopeTimingsWithTotals)
@@ -148,13 +113,14 @@ TEST_F(ProfileTest, DumpListsScopeTimingsWithTotals)
     {
         NEURO_PROFILE_SCOPE("test/dumped");
     }
-    std::ostringstream os;
-    Profiler::instance().dump(os);
-    const std::string out = os.str();
-    EXPECT_NE(out.find("scope/test/dumped"), std::string::npos);
-    EXPECT_NE(out.find("total="), std::string::npos);
-    EXPECT_NE(out.find("min="), std::string::npos);
-    EXPECT_NE(out.find("max="), std::string::npos);
+    const std::string out = statsDump();
+    const std::size_t line = out.find("scope/test/dumped");
+    ASSERT_NE(line, std::string::npos);
+    const std::string rest = out.substr(line, out.find('\n', line) - line);
+    EXPECT_NE(rest.find("n=1 "), std::string::npos);
+    EXPECT_NE(rest.find("total="), std::string::npos);
+    EXPECT_NE(rest.find("p50="), std::string::npos);
+    EXPECT_NE(rest.find("max="), std::string::npos);
 }
 
 TEST_F(ProfileTest, ConcurrentScopesAndCountersAreLossless)
@@ -173,11 +139,31 @@ TEST_F(ProfileTest, ConcurrentScopesAndCountersAreLossless)
     }
     for (auto &t : threads)
         t.join();
-    const StatRegistry snap = Profiler::instance().snapshot();
-    EXPECT_EQ(snap.distribution("scope/test/mt").count(),
+    const telemetry::MetricsSnapshot snap = Profiler::instance().snapshot();
+    EXPECT_EQ(snap.histogram("scope/test/mt").count,
               static_cast<uint64_t>(kThreads * kIters));
     EXPECT_EQ(snap.counter("test.mt_counter"),
               static_cast<uint64_t>(kThreads * kIters));
+}
+
+TEST_F(ProfileTest, ResetZeroesValuesButKeepsCachedScopeHandles)
+{
+    Profiler::instance().setEnabled(true);
+    auto runScope = [] { NEURO_PROFILE_SCOPE("test/reused"); };
+    runScope();
+    Profiler::instance().reset();
+    EXPECT_EQ(Profiler::instance()
+                  .snapshot()
+                  .histogram("scope/test/reused")
+                  .count,
+              0u);
+    // The call site's cached handle still feeds the registry series.
+    runScope();
+    EXPECT_EQ(Profiler::instance()
+                  .snapshot()
+                  .histogram("scope/test/reused")
+                  .count,
+              1u);
 }
 
 } // namespace

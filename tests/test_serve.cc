@@ -16,6 +16,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -28,6 +29,8 @@
 #include "neuro/serve/queue.h"
 #include "neuro/serve/registry.h"
 #include "neuro/serve/server.h"
+#include "neuro/telemetry/export.h"
+#include "neuro/telemetry/metrics.h"
 
 namespace neuro {
 namespace {
@@ -49,12 +52,14 @@ class ThreadCountGuard
     std::size_t saved_;
 };
 
-/** Open/close latch shared by every session of a GatedBackend. */
+/** Open/close latch shared by every session of a GatedBackend; while
+ *  closed, grant() lets a counted number of waiters through. */
 struct Gate
 {
     std::mutex mutex;
     std::condition_variable cv;
     bool open = false;
+    uint64_t permits = 0;
 
     void
     release()
@@ -67,10 +72,22 @@ struct Gate
     }
 
     void
+    grant(uint64_t n)
+    {
+        {
+            std::lock_guard<std::mutex> lock(mutex);
+            permits += n;
+        }
+        cv.notify_all();
+    }
+
+    void
     await()
     {
         std::unique_lock<std::mutex> lock(mutex);
-        cv.wait(lock, [this] { return open; });
+        cv.wait(lock, [this] { return open || permits > 0; });
+        if (!open)
+            --permits;
     }
 };
 
@@ -252,7 +269,7 @@ TEST(InferenceServer, RejectsWhenQueueFull)
     sc.queueCapacity = 2;
     sc.batch.maxBatch = 1;
     sc.batch.maxWaitMicros = 0;
-    serve::InferenceServer server(backend, sc);
+    serve::InferenceServer server(backend, sc, nullptr, "rejects_full");
 
     // First request is dequeued by the dispatcher and parks on the
     // gate; the next two fill the queue; the fourth must bounce.
@@ -284,7 +301,7 @@ TEST(InferenceServer, ExpiredAtDequeueIsNotClassified)
     serve::ServeConfig sc;
     sc.batch.maxBatch = 1;
     sc.batch.maxWaitMicros = 0;
-    serve::InferenceServer server(backend, sc);
+    serve::InferenceServer server(backend, sc, nullptr, "expires");
 
     std::future<serve::InferenceResult> first =
         server.submit(stubRequest(0));
@@ -316,7 +333,7 @@ TEST(InferenceServer, StopDrainsEverythingInFlight)
     serve::ServeConfig sc;
     sc.batch.maxBatch = 2;
     sc.batch.maxWaitMicros = 50;
-    serve::InferenceServer server(backend, sc);
+    serve::InferenceServer server(backend, sc, nullptr, "drains");
 
     std::vector<std::future<serve::InferenceResult>> futures;
     for (uint64_t id = 0; id < 7; ++id)
@@ -349,13 +366,12 @@ TEST(InferenceServer, StopDrainsEverythingInFlight)
 TEST(InferenceServer, StageLatenciesDecomposeTotal)
 {
     ThreadCountGuard guard(1);
-    serve::InferenceServer::resetStageMetrics();
     auto backend =
         std::make_shared<StubBackend>(nullptr, /*delay=*/200us);
     serve::ServeConfig sc;
     sc.batch.maxBatch = 4;
     sc.batch.maxWaitMicros = 100;
-    serve::InferenceServer server(backend, sc);
+    serve::InferenceServer server(backend, sc, nullptr, "stages");
 
     constexpr uint64_t kRequests = 32;
     std::vector<std::future<serve::InferenceResult>> futures;
@@ -380,7 +396,7 @@ TEST(InferenceServer, StageLatenciesDecomposeTotal)
     // totalMicros, so the decomposition is tight, not approximate.
     EXPECT_NEAR(stageSum, totalSum, 1e-3 * totalSum + 1.0);
 
-    // The registry-backed stage histograms saw every completion.
+    // The server's labeled stage histograms saw every completion.
     for (serve::Stage stage : {serve::Stage::Queue, serve::Stage::Batch,
                                serve::Stage::Compute})
         EXPECT_EQ(server.stageLatency(stage).count(), kRequests);
@@ -402,7 +418,7 @@ TEST(InferenceServer, SloDegradesToFallbackAndRecovers)
     sc.sloP99Micros = 200;
     sc.sloWindow = 8;
     sc.enableFallback = true;
-    serve::InferenceServer server(primary, sc, fallback);
+    serve::InferenceServer server(primary, sc, fallback, "slo_recovers");
 
     uint64_t id = 0;
     auto runWave = [&](int n) {
@@ -444,6 +460,122 @@ TEST(InferenceServer, SloDegradesToFallbackAndRecovers)
         runWave(8);
     EXPECT_FALSE(server.degraded());
     server.stop();
+}
+
+/** @return how many times @p needle occurs in @p haystack. */
+std::size_t
+occurrences(const std::string &haystack, const std::string &needle)
+{
+    std::size_t n = 0;
+    for (std::size_t at = haystack.find(needle); at != std::string::npos;
+         at = haystack.find(needle, at + needle.size()))
+        ++n;
+    return n;
+}
+
+/**
+ * Two servers with different model names in one process: driving one
+ * (queue backlog, SLO degradation, completions) must leave every
+ * series of the other at zero — no last-writer-wins gauges, no mixed
+ * histograms, no shared counters — and the Prometheus export must
+ * show both models under one `# TYPE` line per family.
+ */
+TEST(InferenceServer, ModelLabelKeepsIdleServerSeriesAtZero)
+{
+    ThreadCountGuard guard(1);
+    auto &reg = telemetry::MetricRegistry::instance();
+    serve::ServeConfig sc;
+    sc.batch.maxBatch = 1;
+    sc.batch.maxWaitMicros = 0;
+    Gate gate;
+    serve::InferenceServer busy(std::make_shared<StubBackend>(&gate), sc,
+                                nullptr, "label.busy");
+    serve::InferenceServer idle(std::make_shared<StubBackend>(), sc,
+                                nullptr, "label.idle");
+
+    // Park request 0 in the backend, queue three behind it, then let
+    // exactly one classification through: the busy server's
+    // end-of-batch gauge refresh reads a backlog of 3.
+    std::vector<std::future<serve::InferenceResult>> futures;
+    futures.push_back(busy.submit(stubRequest(0)));
+    while (busy.queueDepth() > 0)
+        std::this_thread::sleep_for(100us);
+    for (uint64_t id = 1; id <= 3; ++id)
+        futures.push_back(busy.submit(stubRequest(id)));
+    gate.grant(1);
+    const auto busyDepth = reg.gauge("serve.queue_depth", "label.busy");
+    // Bounded wait, and no ASSERT before release(): a failure must not
+    // leave the dispatcher parked on the gate for ~InferenceServer.
+    const auto waitUntil = std::chrono::steady_clock::now() + 10s;
+    while (busyDepth->value() != 3.0 &&
+           std::chrono::steady_clock::now() < waitUntil)
+        std::this_thread::sleep_for(100us);
+    EXPECT_DOUBLE_EQ(busyDepth->value(), 3.0)
+        << "busy server never published its backlog";
+    EXPECT_DOUBLE_EQ(
+        reg.snapshot().gauge("serve.queue_depth", "label.idle"), 0.0);
+    gate.release();
+    for (std::future<serve::InferenceResult> &f : futures)
+        EXPECT_EQ(f.get().status, serve::RequestStatus::Ok);
+    busy.stop();
+
+    // A third server degrades under its SLO; the idle one must not.
+    serve::ServeConfig sloConfig;
+    sloConfig.batch.maxBatch = 4;
+    sloConfig.sloP99Micros = 200;
+    sloConfig.sloWindow = 8;
+    sloConfig.enableFallback = true;
+    serve::InferenceServer slo(
+        std::make_shared<StubBackend>(nullptr, 1000us), sloConfig,
+        std::make_shared<StubBackend>(), "label.slo");
+    uint64_t id = 100;
+    for (int wave = 0; wave < 8 && !slo.degraded(); ++wave) {
+        std::vector<std::future<serve::InferenceResult>> wave8;
+        for (int i = 0; i < 8; ++i)
+            wave8.push_back(slo.submit(stubRequest(id++)));
+        for (std::future<serve::InferenceResult> &f : wave8)
+            f.get();
+    }
+    ASSERT_TRUE(slo.degraded());
+    slo.stop();
+    idle.stop();
+
+    const telemetry::MetricsSnapshot snap = reg.snapshot();
+    EXPECT_EQ(busy.counters().completed, 4u);
+    EXPECT_EQ(busy.latency().count(), 4u);
+    EXPECT_EQ(snap.histogram("serve.latency", "label.busy").count, 4u);
+    EXPECT_GE(snap.counter("serve.slo.degrade_enter", "label.slo"), 1u);
+    EXPECT_DOUBLE_EQ(snap.gauge("serve.queue_depth", "label.idle"), 0.0);
+    EXPECT_DOUBLE_EQ(snap.gauge("serve.degraded", "label.idle"), 0.0);
+    EXPECT_EQ(snap.counter("serve.slo.degrade_enter", "label.idle"), 0u);
+    EXPECT_EQ(snap.histogram("serve.latency", "label.idle").count, 0u);
+    EXPECT_EQ(idle.latency().count(), 0u);
+    for (serve::Stage stage : {serve::Stage::Queue, serve::Stage::Batch,
+                               serve::Stage::Compute})
+        EXPECT_EQ(idle.stageLatency(stage).count(), 0u);
+    const serve::ServeCounters c = idle.counters();
+    EXPECT_EQ(c.enqueued + c.completed + c.rejected + c.expired +
+                  c.batches + c.fallbacks,
+              0u);
+
+    std::ostringstream prom;
+    telemetry::writePrometheus(snap, prom);
+    const std::string text = prom.str();
+    EXPECT_NE(text.find("serve_completed{model=\"label.busy\"} 4\n"),
+              std::string::npos);
+    EXPECT_NE(text.find("serve_completed{model=\"label.idle\"} 0\n"),
+              std::string::npos);
+    EXPECT_NE(text.find("serve_latency_count{model=\"label.idle\"} 0\n"),
+              std::string::npos);
+    EXPECT_EQ(occurrences(text, "# TYPE serve_completed counter\n"), 1u);
+    EXPECT_EQ(occurrences(text, "# TYPE serve_queue_depth gauge\n"), 1u);
+    EXPECT_EQ(occurrences(text, "# TYPE serve_latency summary\n"), 1u);
+
+    // Resetting one server's series leaves every other model's alone.
+    busy.resetStageMetrics();
+    EXPECT_EQ(busy.counters().completed, 0u);
+    EXPECT_EQ(busy.latency().count(), 0u);
+    EXPECT_GE(slo.counters().completed, 8u);
 }
 
 // -------------------------------------------------------- determinism

@@ -1,10 +1,12 @@
 // Tests for the telemetry layer: histogram percentile bounds and merge
-// semantics, concurrent recording, the metric registry, the sampler
-// ring, and golden-file checks of all three exporters.
+// semantics, concurrent recording, the metric registry and its model
+// label, the sampler ring, and golden-file checks of every exporter
+// (Prometheus, JSON, CSV timeline, stats dump).
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iomanip>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -164,6 +166,37 @@ TEST(MetricRegistry, ResetValuesKeepsRegistrations)
     EXPECT_EQ(h->count(), 0u);
 }
 
+TEST(MetricRegistry, ModelLabelsAreSeparateSeries)
+{
+    MetricRegistry reg;
+    auto m0 = reg.counter("serve.completed", "m0");
+    auto m1 = reg.counter("serve.completed", "m1");
+    auto unlabeled = reg.counter("serve.completed");
+    EXPECT_NE(m0.get(), m1.get());
+    EXPECT_NE(m0.get(), unlabeled.get());
+    EXPECT_EQ(m0.get(), reg.counter("serve.completed", "m0").get());
+    m0->inc(3);
+    m1->inc(1);
+    reg.gauge("serve.queue_depth", "m1")->set(4.0);
+    EXPECT_EQ(reg.size(), 4u);
+
+    const MetricsSnapshot snap = reg.snapshot();
+    // Sorted by name, then model (unlabeled first).
+    ASSERT_EQ(snap.counters.size(), 3u);
+    EXPECT_EQ(snap.counters[0].model, "");
+    EXPECT_EQ(snap.counters[1].model, "m0");
+    EXPECT_EQ(snap.counters[2].model, "m1");
+    EXPECT_EQ(snap.counter("serve.completed", "m0"), 3u);
+    EXPECT_EQ(snap.counter("serve.completed", "m1"), 1u);
+    EXPECT_EQ(snap.counter("serve.completed"), 0u);
+    EXPECT_DOUBLE_EQ(snap.gauge("serve.queue_depth", "m1"), 4.0);
+    EXPECT_DOUBLE_EQ(snap.gauge("serve.queue_depth", "m0"), 0.0);
+    EXPECT_EQ(snap.histogram("absent").count, 0u);
+    EXPECT_EQ(seriesKey("serve.completed", "m0"),
+              "serve.completed{model=m0}");
+    EXPECT_EQ(seriesKey("serve.completed", ""), "serve.completed");
+}
+
 TEST(MetricRegistry, GlobalInstanceIsStable)
 {
     EXPECT_EQ(&MetricRegistry::instance(), &MetricRegistry::instance());
@@ -262,6 +295,60 @@ TEST(Exporters, PrometheusGolden)
     EXPECT_EQ(os.str(), expected);
 }
 
+TEST(Exporters, PrometheusLabelsShareOneTypeLinePerFamily)
+{
+    MetricRegistry reg;
+    reg.counter("serve.completed", "m0")->inc(5);
+    reg.counter("serve.completed", "m1")->inc(0);
+    reg.gauge("serve.degraded", "m1")->set(1.0);
+    reg.histogram("serve.latency", "m0")->record(64.0);
+    reg.histogram("serve.latency", "quote\"d")->record(64.0);
+    std::ostringstream os;
+    writePrometheus(reg.snapshot(), os);
+    const std::string expected =
+        "# TYPE serve_completed counter\n"
+        "serve_completed{model=\"m0\"} 5\n"
+        "serve_completed{model=\"m1\"} 0\n"
+        "# TYPE serve_degraded gauge\n"
+        "serve_degraded{model=\"m1\"} 1\n"
+        "# TYPE serve_latency summary\n"
+        "serve_latency{model=\"m0\",quantile=\"0.5\"} 72\n"
+        "serve_latency{model=\"m0\",quantile=\"0.95\"} 72\n"
+        "serve_latency{model=\"m0\",quantile=\"0.99\"} 72\n"
+        "serve_latency_sum{model=\"m0\"} 72\n"
+        "serve_latency_count{model=\"m0\"} 1\n"
+        "serve_latency{model=\"quote\\\"d\",quantile=\"0.5\"} 72\n"
+        "serve_latency{model=\"quote\\\"d\",quantile=\"0.95\"} 72\n"
+        "serve_latency{model=\"quote\\\"d\",quantile=\"0.99\"} 72\n"
+        "serve_latency_sum{model=\"quote\\\"d\"} 72\n"
+        "serve_latency_count{model=\"quote\\\"d\"} 1\n";
+    EXPECT_EQ(os.str(), expected);
+}
+
+TEST(Exporters, JsonAndCsvKeyLabeledSeriesBySeriesKey)
+{
+    MetricRegistry reg;
+    reg.counter("serve.completed", "m0")->inc(2);
+    reg.counter("serve.completed")->inc(1);
+    Sampler sampler(reg);
+    sampler.sampleOnce();
+    auto rows = sampler.rows();
+    rows[0].timeS = 1.0;
+
+    std::ostringstream json;
+    writeJson(reg.snapshot(), json);
+    EXPECT_EQ(json.str(),
+              "{\n  \"counters\": {\n"
+              "    \"serve.completed\": 1,\n"
+              "    \"serve.completed{model=m0}\": 2\n"
+              "  },\n  \"gauges\": {},\n  \"histograms\": {}\n}\n");
+    std::ostringstream csv;
+    writeTimelineCsv(rows, csv);
+    EXPECT_EQ(csv.str(),
+              "time_s,serve.completed,serve.completed{model=m0}\n"
+              "1,1,2\n");
+}
+
 TEST(Exporters, PrometheusNameSanitization)
 {
     EXPECT_EQ(prometheusName("serve.stage.queue"), "serve_stage_queue");
@@ -349,6 +436,108 @@ TEST(Exporters, TimelineCsvTakesColumnUnionAcrossRows)
     std::ostringstream os;
     writeTimelineCsv(rows, os);
     EXPECT_EQ(os.str(), "time_s,a,b\n1,1,\n2,1,2\n");
+}
+
+// --------------------------------------------------------------------
+// Stats dump (NEURO_STATS_DUMP / `neurocmp stats`)
+
+TEST(StatsExport, CountersGaugesHistograms)
+{
+    MetricRegistry reg;
+    reg.counter("spikes")->inc();
+    reg.counter("spikes")->inc(4);
+    reg.gauge("accuracy")->set(0.97);
+    reg.histogram("latency")->record(10.0);
+    reg.histogram("latency")->record(20.0);
+    const MetricsSnapshot snap = reg.snapshot();
+    EXPECT_EQ(snap.counter("spikes"), 5u);
+    EXPECT_DOUBLE_EQ(snap.gauge("accuracy"), 0.97);
+    EXPECT_EQ(snap.histogram("latency").count, 2u);
+    EXPECT_EQ(snap.counter("absent"), 0u);
+
+    std::ostringstream os;
+    writeStats(snap, os);
+    EXPECT_NE(os.str().find("spikes                                  5\n"),
+              std::string::npos);
+    EXPECT_NE(os.str().find("accuracy                                0.97\n"),
+              std::string::npos);
+    // 10 and 20 land in the [10, 11) and [20, 22) buckets.
+    EXPECT_NE(os.str().find("latency                                 n=2 "
+                            "total=33 mean=16.5 p50=11 p99=22 max=22\n"),
+              std::string::npos);
+}
+
+TEST(StatsExport, DumpContainsNames)
+{
+    MetricRegistry reg;
+    reg.counter("fires")->inc(3);
+    reg.gauge("acc")->set(0.5);
+    reg.histogram("dist")->record(1.0);
+    reg.counter("serve.completed", "m0")->inc();
+    std::ostringstream os;
+    writeStats(reg.snapshot(), os);
+    const std::string out = os.str();
+    EXPECT_NE(out.find("fires"), std::string::npos);
+    EXPECT_NE(out.find("acc"), std::string::npos);
+    EXPECT_NE(out.find("dist"), std::string::npos);
+    EXPECT_NE(out.find("serve.completed{model=m0}"), std::string::npos);
+}
+
+TEST(StatsExport, DumpIsDeterministic)
+{
+    // The dump is a machine-diffable artifact: sorted names, fixed
+    // %.6g floats, and immune to stream state left by earlier writers.
+    MetricRegistry reg;
+    reg.counter("b.counter")->inc(7);
+    reg.counter("a.counter")->inc(2);
+    reg.counter("serve.completed", "m0")->inc(5);
+    reg.gauge("scalar.pi")->set(3.14159265358979);
+    reg.histogram("dist.x")->record(1.0);
+    reg.histogram("dist.x")->record(2.0);
+
+    std::ostringstream os;
+    os << std::setprecision(2) << std::fixed << std::hex
+       << std::showpos; // hostile stream state.
+    writeStats(reg.snapshot(), os);
+    const std::string expected =
+        "---------- stats ----------\n"
+        "a.counter                               2\n"
+        "b.counter                               7\n"
+        "serve.completed{model=m0}               5\n"
+        "scalar.pi                               3.14159\n"
+        "dist.x                                  n=2 total=5 mean=2.5 "
+        "p50=2 p99=3 max=3\n"
+        "---------------------------\n";
+    EXPECT_EQ(os.str(), expected);
+
+    std::ostringstream again;
+    writeStats(reg.snapshot(), again);
+    EXPECT_EQ(again.str(), expected);
+}
+
+TEST(StatsExport, ResetZeroesEverySeries)
+{
+    MetricRegistry reg;
+    reg.counter("a")->inc();
+    reg.gauge("b")->set(1);
+    reg.histogram("c")->record(1);
+    reg.counter("a", "m0")->inc(2);
+    reg.resetValues();
+    const MetricsSnapshot snap = reg.snapshot();
+    EXPECT_EQ(snap.counter("a"), 0u);
+    EXPECT_EQ(snap.counter("a", "m0"), 0u);
+    EXPECT_DOUBLE_EQ(snap.gauge("b"), 0.0);
+    EXPECT_EQ(snap.histogram("c").count, 0u);
+    std::ostringstream os;
+    writeStats(snap, os);
+    EXPECT_EQ(os.str(),
+              "---------- stats ----------\n"
+              "a                                       0\n"
+              "a{model=m0}                             0\n"
+              "b                                       0\n"
+              "c                                       n=0 total=0 mean=0 "
+              "p50=0 p99=0 max=0\n"
+              "---------------------------\n");
 }
 
 } // namespace

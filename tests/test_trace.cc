@@ -260,13 +260,13 @@ TEST_F(TraceTest, DisabledTracingRecordsNothing)
 {
     ASSERT_FALSE(Tracer::enabled());
     runTinyTraining();
-    const StatRegistry snap = Profiler::instance().snapshot();
-    EXPECT_EQ(snap.distribution("scope/snn/train").count(), 0u);
-    EXPECT_EQ(snap.distribution("scope/snn/present").count(), 0u);
+    const telemetry::MetricsSnapshot snap = Profiler::instance().snapshot();
+    EXPECT_EQ(snap.histogram("scope/snn/train").count, 0u);
+    EXPECT_EQ(snap.histogram("scope/snn/present").count, 0u);
     EXPECT_EQ(snap.counter("snn.input_spikes"), 0u);
-    std::ostringstream os;
-    snap.dump(os);
-    EXPECT_EQ(os.str().find("scope/"), std::string::npos);
+    // No scope timing anywhere: every histogram series reads zero.
+    for (const auto &h : snap.histograms)
+        EXPECT_EQ(h.summary.count, 0u) << h.name;
 }
 
 } // namespace

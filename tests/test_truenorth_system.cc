@@ -1,10 +1,11 @@
 // Tests for the multi-core TrueNorth system model and the trainer's
-// statistics sink.
+// statistics, which it records into the metric registry while the
+// profiler is on.
 
 #include <gtest/gtest.h>
 
+#include "neuro/common/profile.h"
 #include "neuro/common/rng.h"
-#include "neuro/common/stats.h"
 #include "neuro/hw/truenorth.h"
 #include "neuro/snn/trainer.h"
 
@@ -66,16 +67,19 @@ TEST(TrainerStats, RecordsSpikesWhenAttached)
     Rng rng(2);
     snn::SnnNetwork net(config, rng);
     snn::SnnStdpTrainer trainer(config);
-    StatRegistry stats;
-    trainer.setStats(&stats);
     snn::SnnTrainConfig train;
     train.epochs = 2;
+    Profiler::instance().reset();
+    Profiler::instance().setEnabled(true);
     trainer.train(net, data, train);
+    Profiler::instance().setEnabled(false);
 
+    const telemetry::MetricsSnapshot stats =
+        Profiler::instance().snapshot();
     EXPECT_EQ(stats.counter("snn.images_presented"), 24u);
     EXPECT_GT(stats.counter("snn.input_spikes"), 0u);
-    EXPECT_EQ(stats.distribution("snn.output_spikes_per_image").count(),
-              24u);
+    EXPECT_EQ(stats.histogram("snn.epoch_output_spikes").count, 2u);
+    EXPECT_EQ(stats.histogram("scope/snn/train/epoch").count, 2u);
 }
 
 TEST(TrainerStats, SilentWithoutSink)
@@ -96,8 +100,16 @@ TEST(TrainerStats, SilentWithoutSink)
     snn::SnnStdpTrainer trainer(config);
     snn::SnnTrainConfig train;
     train.epochs = 1;
-    trainer.train(net, data, train); // must not crash without a sink.
-    SUCCEED();
+    Profiler::instance().setEnabled(false);
+    Profiler::instance().reset();
+    trainer.train(net, data, train);
+
+    // Profiling off: the trainer records nothing.
+    const telemetry::MetricsSnapshot stats =
+        Profiler::instance().snapshot();
+    EXPECT_EQ(stats.counter("snn.images_presented"), 0u);
+    EXPECT_EQ(stats.counter("snn.input_spikes"), 0u);
+    EXPECT_EQ(stats.histogram("snn.epoch_output_spikes").count, 0u);
 }
 
 } // namespace

@@ -17,11 +17,12 @@
  * variables; `neurocmp list` shows the mapping to paper experiments.
  * Every subcommand additionally understands --trace=<path> (record a
  * Chrome-trace JSON viewable in Perfetto), --stats-dump (print the
- * per-scope timing/counter registry at exit) and --metrics=<path>
- * (export the metric registry at exit, Prometheus/JSON/CSV by
- * extension); NEURO_TRACE, NEURO_STATS_DUMP and NEURO_METRICS do the
- * same from the environment — there, and for every bench binary, no
- * flags are needed (see docs/observability.md).
+ * metric registry, scope timings included, at exit) and
+ * --metrics=<path> (export the metric registry at exit,
+ * Prometheus/JSON/CSV by extension); NEURO_TRACE, NEURO_STATS_DUMP
+ * and NEURO_METRICS do the same from the environment — there, and
+ * for every bench binary, no flags are needed (see
+ * docs/observability.md).
  */
 
 #include <atomic>
@@ -81,7 +82,7 @@ cmdList()
         "             SIGTERM (drains, then exits; docs/serving.md)\n"
         "  stats      run a small instrumented train + serving + "
         "folded-sim\n"
-        "             demo and dump the profiler registry\n"
+        "             demo and dump the metric registry\n"
         "  metrics    run a small serving burst and print the metric\n"
         "             registry [format=prom|json]\n"
         "common options: train=N test=N workload=mnist|mpeg7|sad, and\n"
@@ -274,7 +275,7 @@ runServeDemo(const core::Workload &w, uint64_t requests)
 /**
  * Observability self-demo: a short instrumented SNN+STDP train/eval, an
  * MLP epoch, a serving burst, and one folded-schedule simulation of
- * each design, then a dump of everything the profiler collected. With
+ * each design, then the stats dump of the metric registry. With
  * --trace=<path> the same run produces a Chrome trace of all the
  * scopes it exercised.
  */
@@ -324,7 +325,7 @@ cmdStats(const Config &cfg)
         cycle::simulateFoldedSnnWot(w.snnTopo, 16);
     }
 
-    Profiler::instance().dump(std::cout);
+    telemetry::writeStats(Profiler::instance().snapshot(), std::cout);
     return 0;
 }
 
@@ -544,7 +545,7 @@ cmdServe(const Config &cfg)
     const auto inflight = static_cast<std::size_t>(cfg.getInt(
         "inflight", static_cast<long>(4 * sc.batch.maxBatch)));
 
-    serve::InferenceServer server(backend, sc, fallback);
+    serve::InferenceServer server(backend, sc, fallback, backendName);
     uint64_t ok = 0, rejected = 0, expired = 0;
     std::deque<std::future<serve::InferenceResult>> pending;
     auto consumeOne = [&] {
