@@ -8,8 +8,9 @@
  *    request-per-call RPC loop); every request pays the full
  *    submit/dispatch/complete round trip alone;
  *  - batched: a deep closed loop (inflight >> maxBatch) so the
- *    micro-batcher always has a backlog and every dispatcher wakeup
- *    amortizes across a full batch fanned out over the worker pool.
+ *    micro-batcher always has a backlog and every worker wakeup
+ *    amortizes across a full batch, with the server's workers
+ *    computing several batches at once.
  *
  * Both modes run at 1 and 4 worker threads and report throughput plus
  * p50/p95/p99 latency as a table and bench_serving.csv. End-to-end
@@ -102,9 +103,10 @@ runTrace(const std::shared_ptr<serve::InferenceBackend> &backend,
 
     // On a full window, block once on a future deep in the queue and
     // then drain the chunk: waiting on the oldest future instead would
-    // wake the client at the dispatcher's first set_value and ping-pong
-    // the two threads once per request (results complete in submission
-    // order, so the deeper future is always the later one).
+    // wake the client at a worker's first set_value and ping-pong the
+    // two threads once per request. Batches leave the queue in
+    // submission order, so the deeper future is almost always among
+    // the later ones to complete; the drain's get() covers the rest.
     const std::size_t drainChunk = inflight > 1 ? inflight / 2 : 1;
     const auto t0 = serve::ServeClock::now();
     for (uint64_t id = 0; id < requests; ++id) {
@@ -303,7 +305,7 @@ main(int argc, char **argv)
     setParallelThreadCount(1);
 
     table.addNote("single = maxBatch 1, one request in flight; batched "
-                  "= deep closed loop, dispatcher amortized per batch");
+                  "= deep closed loop, worker wakeup amortized per batch");
     table.addNote("identical predictions across every mode and worker "
                   "count (fixed trace, per-request stream seeds)");
     table.print(std::cout);

@@ -5,9 +5,9 @@
  * model (docs/serving.md, "Network protocol").
  *
  * Per-model servers give each model its own admission queue,
- * dispatcher and micro-batcher, so one model's overload degrades to
- * *its* rejections instead of starving every other model behind a
- * shared queue — the admission-fairness property
+ * micro-batcher and batch workers, so one model's overload degrades
+ * to *its* rejections instead of starving every other model behind a
+ * shared queue or a shared compute pool — the fairness property
  * bench_serving_openloop measures. Each server's registry series
  * carry its model name as the `model` label. The routing table is
  * built once at construction and immutable afterwards, so route()
@@ -72,8 +72,8 @@ class ServeFrontend
     /**
      * Route @p frame to its model's server. Always responds exactly
      * once through @p onResponse: synchronously for UnknownModel /
-     * BadFrame / admission rejection, from the dispatcher thread
-     * otherwise.
+     * BadFrame / admission rejection, from one of the model server's
+     * worker threads otherwise.
      */
     void submit(RequestFrame &&frame, ResponseFn onResponse);
 

@@ -382,7 +382,7 @@ void
 NetServer::queueResponse(const std::shared_ptr<Connection> &conn,
                          const ResponseFrame &response)
 {
-    // Runs on serve dispatcher threads for executed requests, and on
+    // Runs on serve worker threads for executed requests, and on
     // the event-loop thread for synchronous dispositions (unknown
     // model, bad frame, admission rejection).
     bool dropped = false;

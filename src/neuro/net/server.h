@@ -8,7 +8,7 @@
  * (partial-frame reassembly across reads), routes complete frames
  * through the front end, and writes queued response bytes back,
  * falling to EPOLLOUT when a socket's send buffer fills. Inference
- * completion callbacks run on the serve dispatcher threads; they only
+ * completion callbacks run on the serve worker threads; they only
  * serialize the response into the connection's outbox and wake the
  * event loop through an eventfd, so backend compute never blocks on a
  * slow client and the loop never blocks on a backend.

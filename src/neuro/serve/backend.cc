@@ -132,7 +132,6 @@ class MlpBackend final : public InferenceBackend
     {
         return std::make_unique<MlpSession>(net_);
     }
-    std::size_t batchGranularity() const override { return kStrip; }
 
   private:
     mlp::Mlp net_;

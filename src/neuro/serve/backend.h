@@ -40,8 +40,8 @@ enum class BackendKind
 const char *backendKindName(BackendKind kind);
 
 /**
- * Per-worker inference state. Sessions are NOT thread-safe; the server
- * hands each concurrently running worker its own (see SessionPool).
+ * Per-worker inference state. Sessions are NOT thread-safe; each of the
+ * server's batch workers owns its own (see InferenceServer).
  */
 class BackendSession
 {
@@ -97,17 +97,6 @@ class InferenceBackend
 
     /** @return a fresh per-worker session over this model. */
     virtual std::unique_ptr<BackendSession> newSession() const = 0;
-
-    /**
-     * @return the chunk size classifyBatch() is optimized for. The
-     * server rounds per-worker chunks up to a multiple of this so a
-     * dense backend's batch kernel still sees full strips after the
-     * batch is split across workers (a 32-request batch split 4 ways
-     * would otherwise hand out chunks below the strip width and fall
-     * back to the scalar path). Purely a performance hint — results
-     * are bit-identical at any chunking.
-     */
-    virtual std::size_t batchGranularity() const { return 1; }
 };
 
 /** Wrap a trained float MLP (takes ownership). */

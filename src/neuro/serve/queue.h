@@ -86,7 +86,7 @@ struct PendingRequest
     std::promise<InferenceResult> promise;
     /** Callback completion path (the network front end): when set,
      *  fulfill() invokes it instead of the promise. Runs on whatever
-     *  thread fulfils the request — the dispatcher for executed or
+     *  thread fulfils the request — a server worker for executed or
      *  expired requests, the submitter for rejections — so it must be
      *  cheap and must not call back into the server. */
     std::function<void(InferenceResult &&)> onComplete;
@@ -135,9 +135,20 @@ class RequestQueue
      *  (NEURO_ACQUIRED_BEFORE in server.h), which needs the name. */
     friend class InferenceServer;
 
+    /** Block the calling consumer until a push or close() wakes it or
+     *  @p until passes (time_point::max() = no bound).
+     *  @return cv_status::timeout once @p until has passed. */
+    std::cv_status awaitPush(ServeClock::time_point until)
+        NEURO_REQUIRES(mutex_);
+    /** Wake the consumer that blocked most recently, if any. */
+    void wakeNewest() NEURO_REQUIRES(mutex_);
+
     mutable Mutex mutex_;
-    CondVar nonEmpty_;
     std::deque<PendingRequest> items_ NEURO_GUARDED_BY(mutex_);
+    /** Blocked consumers, oldest first (each CondVar lives on its
+     *  waiter's stack). A push wakes the newest, whose core is still
+     *  warm, so light traffic stays on one worker. */
+    std::vector<CondVar *> waiters_ NEURO_GUARDED_BY(mutex_);
     const std::size_t capacity_;
     bool closed_ NEURO_GUARDED_BY(mutex_) = false;
 };

@@ -1,6 +1,5 @@
 #include "neuro/serve/server.h"
 
-#include <algorithm>
 #include <chrono>
 #include <utility>
 
@@ -21,35 +20,20 @@ microsBetween(ServeClock::time_point from, ServeClock::time_point to)
 
 } // namespace
 
-std::unique_ptr<BackendSession>
-InferenceServer::SessionPool::acquire()
+struct InferenceServer::Scratch
 {
-    {
-        MutexGuard lock(mutex_);
-        if (!idle_.empty()) {
-            std::unique_ptr<BackendSession> session =
-                std::move(idle_.back());
-            idle_.pop_back();
-            return session;
-        }
-    }
-    return backend_.newSession();
-}
-
-void
-InferenceServer::SessionPool::release(
-    std::unique_ptr<BackendSession> session)
-{
-    MutexGuard lock(mutex_);
-    idle_.push_back(std::move(session));
-}
+    std::vector<PendingRequest *> live;
+    std::vector<const uint8_t *> pixels;
+    std::vector<uint64_t> seeds;
+    std::vector<int> classes;
+};
 
 InferenceServer::InferenceServer(
     std::shared_ptr<InferenceBackend> primary, ServeConfig config,
     std::shared_ptr<InferenceBackend> fallback, const std::string &model)
     : primary_(std::move(primary)), fallback_(std::move(fallback)),
       config_(config), queue_(config.queueCapacity),
-      batcher_(queue_, config.batch), primarySessions_(*primary_)
+      batcher_(queue_, config.batch)
 {
     NEURO_ASSERT(primary_ != nullptr, "serve: primary backend required");
     // Resolve every registry series once; the hot path then pays one
@@ -75,7 +59,6 @@ InferenceServer::InferenceServer(
         NEURO_ASSERT(fallback_->inputSize() == primary_->inputSize(),
                      "serve: fallback input size %zu != primary %zu",
                      fallback_->inputSize(), primary_->inputSize());
-        fallbackSessions_ = std::make_unique<SessionPool>(*fallback_);
     }
     if (config_.enableFallback) {
         NEURO_ASSERT(fallback_ != nullptr,
@@ -83,7 +66,15 @@ InferenceServer::InferenceServer(
         NEURO_ASSERT(config_.sloP99Micros > 0,
                      "serve: enableFallback requires sloP99Micros > 0");
     }
-    dispatcher_ = std::thread([this] { dispatchLoop(); });
+    const std::size_t workers = parallelThreadCount();
+    workers_.reserve(workers);
+    try {
+        for (std::size_t w = 0; w < workers; ++w)
+            workers_.emplace_back([this] { workerLoop(); });
+    } catch (...) {
+        stop(); // join the workers already started.
+        throw;
+    }
 }
 
 InferenceServer::~InferenceServer() { stop(); }
@@ -133,13 +124,10 @@ void
 InferenceServer::stop()
 {
     MutexGuard lock(stopMutex_);
-    // Relaxed is enough: stopMutex_ orders concurrent stop() calls,
-    // and the flag is only a revisit guard, not a publication point.
-    if (stopped_.exchange(true, std::memory_order_relaxed))
-        return;
-    queue_.close();
-    if (dispatcher_.joinable())
-        dispatcher_.join();
+    queue_.close(); // idempotent; a repeat call finds no joinable worker.
+    for (std::thread &worker : workers_)
+        if (worker.joinable())
+            worker.join();
 }
 
 ServeCounters
@@ -184,19 +172,24 @@ InferenceServer::resetStageMetrics()
 }
 
 void
-InferenceServer::dispatchLoop()
+InferenceServer::workerLoop()
 {
+    const std::unique_ptr<BackendSession> primary = primary_->newSession();
+    const std::unique_ptr<BackendSession> fallback =
+        fallback_ != nullptr ? fallback_->newSession() : nullptr;
+    Scratch scratch;
     for (;;) {
         std::vector<PendingRequest> batch = batcher_.nextBatch();
         if (batch.empty())
             return; // closed and drained.
-        runBatch(batch);
-        updateSlo();
+        runBatch(batch, *primary, fallback.get(), scratch);
     }
 }
 
 void
-InferenceServer::runBatch(std::vector<PendingRequest> &batch)
+InferenceServer::runBatch(std::vector<PendingRequest> &batch,
+                          BackendSession &primary,
+                          BackendSession *fallback, Scratch &scratch)
 {
     NEURO_PROFILE_SCOPE("serve/batch");
     tm_.batches->inc();
@@ -206,8 +199,10 @@ InferenceServer::runBatch(std::vector<PendingRequest> &batch)
 
     // Deadline check at dequeue: anything already past its deadline is
     // fulfilled as Expired without spending backend cycles on it.
-    std::vector<PendingRequest *> live;
-    live.reserve(batch.size());
+    std::vector<PendingRequest *> &live = scratch.live;
+    live.clear();
+    scratch.pixels.clear();
+    scratch.seeds.clear();
     for (PendingRequest &pending : batch) {
         if (pending.request.deadline < batchStart) {
             tm_.expired->inc();
@@ -224,62 +219,41 @@ InferenceServer::runBatch(std::vector<PendingRequest> &batch)
             pending.fulfill(std::move(result));
         } else {
             live.push_back(&pending);
+            scratch.pixels.push_back(pending.request.pixels.data());
+            scratch.seeds.push_back(pending.request.streamSeed);
         }
     }
     if (live.empty())
         return;
 
     const bool useFallback =
-        degraded_.load(std::memory_order_relaxed) && fallback_ != nullptr;
-    SessionPool &pool =
-        useFallback ? *fallbackSessions_ : primarySessions_;
+        degraded_.load(std::memory_order_relaxed) && fallback != nullptr;
+    BackendSession &session = useFallback ? *fallback : primary;
 
-    // One contiguous chunk per worker: each chunk goes through a
-    // session's batched entry point, so dense backends get their
-    // weight-reuse/SIMD win and results land in per-index slots
-    // (thread-count independent). Chunks are rounded up to the
-    // backend's strip granularity — splitting a batch into sub-strip
-    // chunks would silently demote every request to the scalar path.
-    const InferenceBackend &backend =
-        useFallback ? *fallback_ : *primary_;
-    const std::size_t n = live.size();
-    const std::size_t workers = parallelThreadCount();
-    const std::size_t stripSize = std::max<std::size_t>(
-        std::size_t{1}, backend.batchGranularity());
-    std::size_t grain = (n + workers - 1) / workers;
-    grain = (grain + stripSize - 1) / stripSize * stripSize;
-    std::vector<int> classes(n, -1);
+    // The whole batch goes through the session's batched entry point,
+    // so dense backends get their weight-reuse/SIMD win on it.
+    scratch.classes.assign(live.size(), -1);
     // End of the batch-assembly stage, start of the compute stage, for
     // every request riding in this batch.
     const auto computeStart = ServeClock::now();
-    parallelForRange(
-        std::size_t{0}, n, grain, [&](std::size_t i0, std::size_t i1) {
-            std::unique_ptr<BackendSession> session = pool.acquire();
-            const std::size_t m = i1 - i0;
-            std::vector<const uint8_t *> pixelPtrs(m);
-            std::vector<uint64_t> seeds(m);
-            for (std::size_t j = 0; j < m; ++j) {
-                const InferenceRequest &request = live[i0 + j]->request;
-                pixelPtrs[j] = request.pixels.data();
-                seeds[j] = request.streamSeed;
-            }
-            session->classifyBatch(pixelPtrs.data(), seeds.data(), m,
-                                   live[i0]->request.pixels.size(),
-                                   classes.data() + i0);
-            pool.release(std::move(session));
-        });
+    session.classifyBatch(scratch.pixels.data(), scratch.seeds.data(),
+                          live.size(), primary_->inputSize(),
+                          scratch.classes.data());
 
     const auto batchEnd = ServeClock::now();
     if (useFallback)
         tm_.fallbacks->inc(live.size());
-    const bool sloArmed = config_.sloP99Micros > 0;
+    // SLO bookkeeping comes before the answers go out, so a caller
+    // holding its answers also sees the degradation state they caused.
+    if (config_.sloP99Micros > 0)
+        updateSlo(live, batchEnd);
     const bool traceSpans = config_.traceRequests && Tracer::enabled();
     for (std::size_t i = 0; i < live.size(); ++i) {
         PendingRequest &pending = *live[i];
         InferenceResult result;
         result.id = pending.request.id;
         result.status = RequestStatus::Ok;
-        result.classIndex = classes[i];
+        result.classIndex = scratch.classes[i];
         result.usedFallback = useFallback;
         result.batchSize = batchSize;
         result.queueMicros =
@@ -292,8 +266,6 @@ InferenceServer::runBatch(std::vector<PendingRequest> &batch)
         tm_.stageQueue->record(result.queueMicros);
         tm_.stageBatch->record(result.batchMicros);
         tm_.stageCompute->record(result.computeMicros);
-        if (sloArmed)
-            windowLatency_.record(result.totalMicros);
         if (traceSpans) {
             // One async lane per stage, correlated by request id; the
             // timestamps are backdated to where the boundary actually
@@ -315,7 +287,6 @@ InferenceServer::runBatch(std::vector<PendingRequest> &batch)
         }
         pending.fulfill(std::move(result));
     }
-    windowCompleted_ += live.size();
     tm_.completed->inc(live.size());
 
     // Live gauges, refreshed once per batch (a sampled view, not an
@@ -331,10 +302,13 @@ InferenceServer::runBatch(std::vector<PendingRequest> &batch)
 }
 
 void
-InferenceServer::updateSlo()
+InferenceServer::updateSlo(const std::vector<PendingRequest *> &live,
+                           ServeClock::time_point batchEnd)
 {
-    if (config_.sloP99Micros <= 0 ||
-        windowCompleted_ < config_.sloWindow)
+    MutexGuard lock(sloMutex_);
+    for (const PendingRequest *pending : live)
+        windowLatency_.record(microsBetween(pending->enqueueTime, batchEnd));
+    if (windowLatency_.count() < config_.sloWindow)
         return;
     const double p99 = windowLatency_.percentile(0.99);
     const auto slo = static_cast<double>(config_.sloP99Micros);
@@ -357,7 +331,6 @@ InferenceServer::updateSlo()
         }
     }
     windowLatency_.reset();
-    windowCompleted_ = 0;
 }
 
 } // namespace serve

@@ -1,10 +1,13 @@
 /**
  * @file
- * The inference server of the serving runtime (docs/serving.md): a
- * single dispatcher thread forms micro-batches from the admission
- * queue and fans each batch out across the process thread pool
- * (common/parallel.h, NEURO_THREADS workers), fulfilling per-request
- * futures with the classification and its latency breakdown.
+ * The inference server of the serving runtime (docs/serving.md).
+ *
+ * Workers: a server starts parallelThreadCount() threads when it is
+ * built (NEURO_THREADS / --threads; a later change does not resize
+ * it). Each pulls micro-batches straight from the admission queue,
+ * runs them on its own primary (and fallback) session and fulfils the
+ * futures with the classification and its latency breakdown. No pool
+ * is shared, so one server never waits on another's batches.
  *
  * SLO & graceful degradation: when sloP99Micros is set and fallback is
  * enabled, the server watches a sliding-window p99; while it exceeds
@@ -14,7 +17,8 @@
  * SLO. Fallback is off by default because switching backends changes
  * answers; the determinism contract (bit-identical results for a fixed
  * trace at any worker count) holds whenever the backend choice is
- * load-independent, i.e. fallback disabled.
+ * load-independent, i.e. fallback disabled. The SLO window is shared by
+ * the workers and evaluated under one small lock once per batch.
  *
  * Telemetry: the registry (telemetry/metrics.h) is the server's only
  * metric store. Every series carries the server's `model` label:
@@ -130,17 +134,17 @@ class InferenceServer
      * Submit one request with callback completion — the form the
      * network front end (net/frontend.h) uses, where a future-per-
      * request would force a waiter thread per connection. @p
-     * onComplete always fires exactly once: on the dispatcher thread
-     * for executed or expired requests, or synchronously on this
-     * thread when admission rejects. It must be cheap and must not
-     * call back into this server (the dispatcher is not reentrant).
+     * onComplete always fires exactly once: on a worker thread for
+     * executed or expired requests, or synchronously on this thread
+     * when admission rejects. It must be cheap and must not call back
+     * into this server (a worker is not reentrant).
      */
     void submit(InferenceRequest request, CompletionFn onComplete);
 
     /**
      * Close admission, drain every queued request (expired ones are
-     * still fulfilled, with RequestStatus::Expired), and join the
-     * dispatcher. Idempotent.
+     * still fulfilled, with RequestStatus::Expired), and join every
+     * worker. Idempotent.
      */
     void stop();
 
@@ -174,28 +178,15 @@ class InferenceServer
     const ServeConfig &config() const { return config_; }
 
   private:
-    /** Mutex-protected stack of per-worker sessions for one backend. */
-    class SessionPool
-    {
-      public:
-        explicit SessionPool(const InferenceBackend &backend)
-            : backend_(backend)
-        {
-        }
+    /** A worker's reusable per-batch vectors (defined in server.cc). */
+    struct Scratch;
 
-        std::unique_ptr<BackendSession> acquire();
-        void release(std::unique_ptr<BackendSession> session);
-
-      private:
-        const InferenceBackend &backend_;
-        Mutex mutex_;
-        std::vector<std::unique_ptr<BackendSession>>
-            idle_ NEURO_GUARDED_BY(mutex_);
-    };
-
-    void dispatchLoop();
-    void runBatch(std::vector<PendingRequest> &batch);
-    void updateSlo();
+    void workerLoop();
+    void runBatch(std::vector<PendingRequest> &batch,
+                  BackendSession &primary, BackendSession *fallback,
+                  Scratch &scratch);
+    void updateSlo(const std::vector<PendingRequest *> &live,
+                   ServeClock::time_point batchEnd);
     void submitPending(PendingRequest &&pending);
 
     std::shared_ptr<InferenceBackend> primary_;
@@ -203,13 +194,13 @@ class InferenceServer
     ServeConfig config_;
     RequestQueue queue_;
     MicroBatcher batcher_;
-    SessionPool primarySessions_;
-    std::unique_ptr<SessionPool> fallbackSessions_;
 
-    /** SLO control state, not a metric: reset each window. */
-    LatencyHistogram windowLatency_;
+    /** SLO control state, not a metric: the current window's
+     *  latencies, reset each time a full window is evaluated. Workers
+     *  take sloMutex_ once per batch to record into it. */
+    Mutex sloMutex_;
+    LatencyHistogram windowLatency_ NEURO_GUARDED_BY(sloMutex_);
     std::atomic<bool> degraded_{false};
-    uint64_t windowCompleted_ = 0;   ///< dispatcher-only.
 
     /** Registry-owned series labeled with model_ (resolved once at
      *  construction, so the hot path never looks a name up). */
@@ -234,13 +225,12 @@ class InferenceServer
     };
     Telemetry tm_;
 
-    std::atomic<bool> stopped_{false};
     /** Serializes stop() against itself; stop() closes the queue while
      *  holding it, giving the documented order: server stop lock
      *  before the queue lock (docs/static_analysis.md). */
     Mutex stopMutex_ NEURO_ACQUIRED_BEFORE(queue_.mutex_);
-    /** Written once in the constructor, joined under stopMutex_. */
-    std::thread dispatcher_;
+    /** Started in the constructor, joined under stopMutex_. */
+    std::vector<std::thread> workers_;
 };
 
 } // namespace serve

@@ -1,9 +1,10 @@
 // Tests for the serving runtime: micro-batcher timing/coalescing,
-// admission control, deadline expiry, shutdown draining, SLO-driven
-// fallback, registry round trips, and the determinism contract — a
-// fixed request trace yields bit-identical predictions at any worker
-// count, including strip-kernel vs scalar-path agreement for the MLP
-// batch kernel.
+// admission control, deadline expiry, shutdown draining, concurrent
+// batch workers and per-server isolation, SLO-driven fallback,
+// registry round trips, and the determinism contract — a fixed
+// request trace yields bit-identical predictions at any worker count,
+// including strip-kernel vs scalar-path agreement for the MLP batch
+// kernel.
 
 #include <gtest/gtest.h>
 
@@ -94,8 +95,8 @@ struct Gate
 /**
  * Deterministic test backend: classify() = (pixels[0] + streamSeed)
  * mod numClasses. Optionally blocks each classification on a Gate
- * (to hold the dispatcher mid-batch) or sleeps (to inflate latency
- * for SLO tests).
+ * (to hold a worker mid-batch) or sleeps (to inflate latency for SLO
+ * tests). Counts the classifyBatch calls running at any moment.
  */
 class StubBackend final : public serve::InferenceBackend
 {
@@ -120,6 +121,7 @@ class StubBackend final : public serve::InferenceBackend
     }
 
     std::atomic<uint64_t> classified{0};
+    std::atomic<int> batchesInFlight{0};
 
   private:
     class Session final : public serve::BackendSession
@@ -142,6 +144,18 @@ class StubBackend final : public serve::InferenceBackend
                        static_cast<uint64_t>(owner_.numClasses()));
         }
 
+        void
+        classifyBatch(const uint8_t *const *pixels,
+                      const uint64_t *streamSeeds, std::size_t count,
+                      std::size_t numPixels, int *classes) override
+        {
+            StubBackend &owner = const_cast<StubBackend &>(owner_);
+            owner.batchesInFlight.fetch_add(1);
+            serve::BackendSession::classifyBatch(pixels, streamSeeds,
+                                                 count, numPixels, classes);
+            owner.batchesInFlight.fetch_sub(1);
+        }
+
       private:
         const StubBackend &owner_;
     };
@@ -150,6 +164,17 @@ class StubBackend final : public serve::InferenceBackend
     std::chrono::microseconds delay_;
     int bias_;
 };
+
+/** Poll @p done every 100us for up to 5 s; @return its last value. */
+template <typename Predicate>
+bool
+eventually(Predicate done)
+{
+    const auto limit = std::chrono::steady_clock::now() + 5s;
+    while (!done() && std::chrono::steady_clock::now() < limit)
+        std::this_thread::sleep_for(100us);
+    return done();
+}
 
 serve::InferenceRequest
 stubRequest(uint64_t id)
@@ -271,7 +296,7 @@ TEST(InferenceServer, RejectsWhenQueueFull)
     sc.batch.maxWaitMicros = 0;
     serve::InferenceServer server(backend, sc, nullptr, "rejects_full");
 
-    // First request is dequeued by the dispatcher and parks on the
+    // First request is dequeued by the worker and parks on the
     // gate; the next two fill the queue; the fourth must bounce.
     std::vector<std::future<serve::InferenceResult>> futures;
     futures.push_back(server.submit(stubRequest(0)));
@@ -308,7 +333,7 @@ TEST(InferenceServer, ExpiredAtDequeueIsNotClassified)
     while (server.queueDepth() > 0)
         std::this_thread::sleep_for(100us);
     // Queued behind the gated batch with an already-past deadline:
-    // by the time the dispatcher dequeues it, it must expire without
+    // by the time the worker dequeues it, it must expire without
     // touching the backend.
     serve::InferenceRequest late = stubRequest(1);
     late.deadline = serve::ServeClock::now() - 1ms;
@@ -438,11 +463,10 @@ TEST(InferenceServer, SloDegradesToFallbackAndRecovers)
     ASSERT_TRUE(server.degraded());
 
     // Degraded traffic goes to the fallback (bias 5 shows in answers).
-    // The client observes completions (set_value) a moment before the
-    // dispatcher's SLO bookkeeping for that batch runs, so degraded()
-    // can flip between waves: a wave of fast fallback answers restores
-    // the primary, the next all-primary wave re-degrades. Drive waves
-    // until one lands entirely inside a degraded stretch.
+    // degraded() can flip between waves: a wave of fast fallback
+    // answers restores the primary, the next all-primary wave
+    // re-degrades. Drive waves until one lands entirely inside a
+    // degraded stretch.
     bool fullyFallback = false;
     for (int wave = 0; wave < 32 && !fullyFallback; ++wave) {
         const std::vector<serve::InferenceResult> degradedWave =
@@ -460,6 +484,77 @@ TEST(InferenceServer, SloDegradesToFallbackAndRecovers)
         runWave(8);
     EXPECT_FALSE(server.degraded());
     server.stop();
+}
+
+/**
+ * A server runs one batch worker per configured thread: with two
+ * threads and maxBatch 1, two requests are two batches computing at
+ * the same time, each on its worker's own session.
+ */
+TEST(InferenceServer, WorkersComputeBatchesConcurrently)
+{
+    ThreadCountGuard guard(2);
+    Gate gate;
+    auto backend = std::make_shared<StubBackend>(&gate);
+    serve::ServeConfig sc;
+    sc.batch.maxBatch = 1;
+    sc.batch.maxWaitMicros = 0;
+    serve::InferenceServer server(backend, sc, nullptr, "workers");
+
+    std::future<serve::InferenceResult> first =
+        server.submit(stubRequest(0));
+    std::future<serve::InferenceResult> second =
+        server.submit(stubRequest(1));
+    // No ASSERT before release(): a failure must not leave a worker
+    // parked on the gate for ~InferenceServer.
+    EXPECT_TRUE(eventually([&] { return backend->batchesInFlight == 2; }))
+        << "only " << backend->batchesInFlight.load()
+        << " batch(es) in flight";
+    gate.release();
+    EXPECT_EQ(first.get().status, serve::RequestStatus::Ok);
+    EXPECT_EQ(second.get().status, serve::RequestStatus::Ok);
+    server.stop();
+}
+
+/**
+ * Servers share no workers and no pool lock: while one server is
+ * parked inside a gated batch, another server in the same process
+ * still completes its own batch.
+ */
+TEST(InferenceServer, BusyServerDoesNotBlockAnother)
+{
+    ThreadCountGuard guard(2);
+    serve::ServeConfig sc;
+    sc.batch.maxBatch = 2;
+    sc.batch.maxWaitMicros = 50000;
+    Gate gate;
+    auto parkedBackend = std::make_shared<StubBackend>(&gate);
+    serve::InferenceServer parked(parkedBackend, sc, nullptr,
+                                  "isolation.parked");
+    serve::InferenceServer other(std::make_shared<StubBackend>(), sc,
+                                 nullptr, "isolation.other");
+
+    std::vector<std::future<serve::InferenceResult>> parkedFutures;
+    parkedFutures.push_back(parked.submit(stubRequest(0)));
+    parkedFutures.push_back(parked.submit(stubRequest(1)));
+    const bool isParked =
+        eventually([&] { return parkedBackend->batchesInFlight >= 1; });
+    EXPECT_TRUE(isParked) << "the gated server never started its batch";
+
+    std::vector<std::future<serve::InferenceResult>> otherFutures;
+    otherFutures.push_back(other.submit(stubRequest(2)));
+    otherFutures.push_back(other.submit(stubRequest(3)));
+    for (std::future<serve::InferenceResult> &f : otherFutures)
+        EXPECT_EQ(f.wait_for(5s), std::future_status::ready)
+            << "a parked server held up another server's batch";
+
+    gate.release();
+    for (std::future<serve::InferenceResult> &f : parkedFutures)
+        EXPECT_EQ(f.get().status, serve::RequestStatus::Ok);
+    for (std::future<serve::InferenceResult> &f : otherFutures)
+        EXPECT_EQ(f.get().status, serve::RequestStatus::Ok);
+    parked.stop();
+    other.stop();
 }
 
 /** @return how many times @p needle occurs in @p haystack. */
@@ -505,7 +600,7 @@ TEST(InferenceServer, ModelLabelKeepsIdleServerSeriesAtZero)
     gate.grant(1);
     const auto busyDepth = reg.gauge("serve.queue_depth", "label.busy");
     // Bounded wait, and no ASSERT before release(): a failure must not
-    // leave the dispatcher parked on the gate for ~InferenceServer.
+    // leave the worker parked on the gate for ~InferenceServer.
     const auto waitUntil = std::chrono::steady_clock::now() + 10s;
     while (busyDepth->value() != 3.0 &&
            std::chrono::steady_clock::now() < waitUntil)

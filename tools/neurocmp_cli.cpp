@@ -94,7 +94,8 @@ cmdList()
         "NEURO_STATS_DUMP / NEURO_METRICS do the same for any binary,\n"
         "benches included (docs/observability.md).\n"
         "parallelism: --threads=N (or NEURO_THREADS) sets the worker\n"
-        "pool width; 1 = fully serial, default = all hardware threads.\n"
+        "pool width and each model server's batch workers; 1 = fully\n"
+        "serial, default = all hardware threads.\n"
         "results are identical at any setting (docs/parallelism.md).\n"
         "simd: --simd=auto|off|avx2|avx512 (or NEURO_SIMD) picks the\n"
         "vector kernel table; results are bit-identical at every level\n"
@@ -621,10 +622,15 @@ cmdServe(const Config &cfg)
 int
 main(int argc, char **argv)
 {
+    // The static env bootstrap already applied the NEURO_* observability
+    // variables; only the flags are new. Other settings read both.
+    Config flags;
+    flags.parseArgs(argc, argv);
+    initObservability(flags);
     Config cfg;
     cfg.parseEnv();
-    cfg.parseArgs(argc, argv);
-    initObservability(cfg);
+    for (const auto &[key, value] : flags.entries())
+        cfg.set(key, value);
     initParallel(cfg);
     kernels::initKernels(cfg);
     const char *cmd = argc > 1 ? argv[1] : "list";
